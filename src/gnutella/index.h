@@ -8,12 +8,16 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "gnutella/types.h"
 
 namespace pierstack::gnutella {
+
+/// Tokenizes a query once, where it enters the network: its keywords are
+/// the text's terms minus stop words and one-letter terms.
+QueryRef ParseQuery(std::string text);
 
 /// Append-oriented inverted index of shared files.
 class KeywordIndex {
@@ -34,11 +38,13 @@ class KeywordIndex {
   /// Removes every entry owned by `owner` (leaf disconnect). O(index).
   void RemoveOwner(sim::HostId owner);
 
-  /// All entries matching every term in `query_terms` (terms must already
-  /// be tokenized/lower-cased; stop words are ignored). An empty term list
-  /// matches nothing — Gnutella drops empty queries.
+  /// All entries matching every keyword, in ascending entry order.
+  /// Keywords must already be tokenized and filtered as ParseQuery does
+  /// (ParsedQuery::keywords, or ExtractKeywords): a stop word is simply
+  /// absent from the index. An empty list matches nothing — Gnutella drops
+  /// empty queries.
   std::vector<const Entry*> Match(
-      const std::vector<std::string>& query_terms) const;
+      const std::vector<std::string>& keywords) const;
 
   /// Convenience: tokenizes `query_text` then matches.
   std::vector<const Entry*> MatchText(const std::string& query_text) const;
@@ -53,8 +59,17 @@ class KeywordIndex {
   std::vector<const Entry*> AllEntries() const;
 
  private:
-  std::vector<Entry> entries_;             // tombstoned via owner==kInvalidHost
-  std::unordered_map<std::string, std::vector<uint32_t>> postings_;
+  struct Posting {
+    std::string term;
+    std::vector<uint32_t> entries;  ///< Ascending (append order).
+  };
+
+  /// The posting list of `term`, or null when no file has it.
+  const Posting* Find(const std::string& term) const;
+
+  std::vector<Entry> entries_;  // tombstoned via owner==kInvalidHost
+  std::vector<Posting> postings_;
+  FlatHashTable<uint32_t> by_term_;  ///< Term hash -> postings_ index.
   size_t live_entries_ = 0;
 
   bool Live(uint32_t idx) const {

@@ -88,14 +88,16 @@ Guid GnutellaNode::StartQuery(const std::string& text,
   ++metrics_->queries_started;
   Guid guid = rng_.Next();
   local_queries_[guid] = LocalQuery{std::move(callback), {}};
+  QueryRef query = ParseQuery(text);
   if (role_ == Role::kLeaf) {
     assert(!parents_.empty() && "leaf must be attached to an ultrapeer");
     network_->Send(host_, parents_.front(),
                    sim::Message::Make<LeafQueryBody>(
                        kMsgLeafQuery, "gnutella.query", 25 + text.size(),
-                       LeafQueryBody{guid, text}));
+                       LeafQueryBody{guid, std::move(query)}));
   } else {
-    ExecuteQueryAsRoot(guid, text);
+    RememberGuid(guid, sim::kInvalidHost);  // never re-process our own flood
+    ExecuteQueryAsRoot(guid, query, sim::kInvalidHost);
   }
   return guid;
 }
@@ -113,30 +115,31 @@ bool GnutellaNode::QueryActive(Guid guid) const {
   return dq_states_.count(guid) > 0;
 }
 
-void GnutellaNode::ExecuteQueryAsRoot(Guid guid, const std::string& text) {
+void GnutellaNode::ExecuteQueryAsRoot(Guid guid, const QueryRef& query,
+                                      sim::HostId asker) {
   assert(role_ == Role::kUltrapeer);
-  RememberGuid(guid, sim::kInvalidHost);  // never re-process our own flood
-  if (query_observer_) query_observer_(guid, text, host_);
-  MatchLocally(guid, text, sim::kInvalidHost);
-
-  if (config_->query_mode == QueryMode::kFlood) {
-    QueryBody q{guid, config_->flood_ttl, 0, text};
-    FloodQuery(q, sim::kInvalidHost);
-    return;
+  if (query_observer_) {
+    query_observer_(guid, query->text,
+                    asker == sim::kInvalidHost ? host_ : asker);
   }
-  BeginDynamicQuery(guid, text);
+  MatchLocally(guid, query, sim::kInvalidHost);
+  if (config_->query_mode == QueryMode::kFlood) {
+    FloodQuery(guid, config_->flood_ttl, 0, query, sim::kInvalidHost);
+  } else {
+    BeginDynamicQuery(guid, query);
+  }
 }
 
-void GnutellaNode::BeginDynamicQuery(Guid guid, const std::string& text) {
+void GnutellaNode::BeginDynamicQuery(Guid guid, const QueryRef& query) {
   // Dynamic querying: probe a few neighbors at TTL 1, then widen.
   DqState state;
-  state.text = text;
+  state.query = query;
   state.pending_neighbors = up_neighbors_;
   rng_.Shuffle(&state.pending_neighbors);
   size_t probes = std::min(config_->dynamic.probe_neighbors,
                            state.pending_neighbors.size());
   for (size_t i = 0; i < probes; ++i) {
-    SendQueryTo(state.pending_neighbors.back(), guid, text,
+    SendQueryTo(state.pending_neighbors.back(), guid, query,
                 config_->dynamic.probe_ttl);
     state.pending_neighbors.pop_back();
   }
@@ -164,71 +167,61 @@ void GnutellaNode::DynamicTick(Guid guid) {
   } else {
     ttl = 1;
   }
-  SendQueryTo(state.pending_neighbors.back(), guid, state.text, ttl);
+  SendQueryTo(state.pending_neighbors.back(), guid, state.query, ttl);
   state.pending_neighbors.pop_back();
   state.tick = network_->executor()->ScheduleAfter(host_, 
       config_->dynamic.per_neighbor_wait,
       [this, guid]() { DynamicTick(guid); });
 }
 
-void GnutellaNode::FloodQuery(const QueryBody& q, sim::HostId exclude) {
-  if (q.ttl == 0) {
+void GnutellaNode::FloodQuery(Guid guid, uint8_t ttl, uint8_t hops,
+                              const QueryRef& query, sim::HostId exclude) {
+  if (ttl == 0) {
     ++metrics_->ttl_expired;
     return;
   }
+  // One body for the whole fan-out; each neighbor's message shares it.
+  sim::Message msg = sim::Message::Make<QueryBody>(
+      kMsgQuery, "gnutella.query", QueryWireBytes(*query),
+      QueryBody{guid, ttl, hops, query});
   for (sim::HostId n : up_neighbors_) {
     if (n == exclude) continue;
     ++metrics_->query_messages;
-    network_->Send(host_, n,
-                   sim::Message::Make<QueryBody>(kMsgQuery, "gnutella.query",
-                                                 QueryWireBytes(q), q));
+    network_->Send(host_, n, msg);
   }
 }
 
 void GnutellaNode::SendQueryTo(sim::HostId neighbor, Guid guid,
-                               const std::string& text, uint8_t ttl) {
-  QueryBody q{guid, ttl, 0, text};
+                               const QueryRef& query, uint8_t ttl) {
   ++metrics_->query_messages;
   network_->Send(host_, neighbor,
                  sim::Message::Make<QueryBody>(kMsgQuery, "gnutella.query",
-                                               QueryWireBytes(q), q));
+                                               QueryWireBytes(*query),
+                                               QueryBody{guid, ttl, 0, query}));
 }
 
-size_t GnutellaNode::HitWireBytes(const QueryHitBody& h) {
-  size_t bytes = 23 + 11;  // header + hit preamble (ip, port, speed, count)
-  for (const auto& r : h.results) bytes += r.filename.size() + 18;
-  return bytes;
-}
-
-void GnutellaNode::MatchLocally(Guid guid, const std::string& text,
+void GnutellaNode::MatchLocally(Guid guid, const QueryRef& query,
                                 sim::HostId reply_to) {
+  const std::vector<std::string>& terms = query->keywords;
   // QRP: forward the query to leaves whose keyword Bloom filter matches
   // every term; they answer for themselves and the hit rides the normal
   // reverse path through us.
-  if (!leaf_blooms_.empty()) {
-    std::vector<std::string> terms;
-    const auto& stop = DefaultStopWords();
-    for (auto& t : SplitTerms(text)) {
-      if (t.size() < 2 || stop.count(t)) continue;
-      terms.push_back(std::move(t));
-    }
-    if (!terms.empty()) {
-      auto origin = guid_routes_.find(guid);
-      sim::HostId origin_host =
-          origin != guid_routes_.end() ? origin->second : sim::kInvalidHost;
-      for (const auto& [leaf, bloom] : leaf_blooms_) {
-        if (leaf == origin_host) continue;  // don't echo to the asker
-        if (!bloom.MayContainAll(terms)) continue;
-        ++metrics_->qrp_leaf_forwards;
-        network_->Send(host_, leaf,
-                       sim::Message::Make<LeafForwardBody>(
-                           kMsgLeafForwardQuery, "gnutella.query",
-                           25 + text.size(), LeafForwardBody{guid, text}));
-      }
+  if (!leaf_blooms_.empty() && !terms.empty()) {
+    const sim::HostId* origin = guid_routes_.Find(guid);
+    sim::HostId origin_host = origin != nullptr ? *origin : sim::kInvalidHost;
+    for (const auto& [leaf, bloom] : leaf_blooms_) {
+      if (leaf == origin_host) continue;  // don't echo to the asker
+      if (!bloom.MayContainAll(terms)) continue;
+      ++metrics_->qrp_leaf_forwards;
+      network_->Send(host_, leaf,
+                     sim::Message::Make<LeafForwardBody>(
+                         kMsgLeafForwardQuery, "gnutella.query",
+                         25 + query->text.size(),
+                         LeafForwardBody{guid, query}));
     }
   }
 
-  auto matches = index_.MatchText(text);
+  auto matches = index_.Match(terms);
   if (matches.empty()) return;
   QueryHitBody hit;
   hit.guid = guid;
@@ -237,38 +230,37 @@ void GnutellaNode::MatchLocally(Guid guid, const std::string& text,
     hit.results.push_back(
         QueryResult{e->file_id, e->filename, e->size_bytes, e->owner});
   }
+  sim::Message msg = sim::Message::Make<QueryHitBody>(
+      kMsgQueryHit, "gnutella.hit", kHitWireBytes, std::move(hit));
   if (reply_to == sim::kInvalidHost) {
     // We are the query root: deliver straight up the local path.
-    DeliverOrForwardHit(guid, std::move(hit.results));
+    RouteHit(msg);
   } else {
     ++metrics_->query_hit_messages;
-    network_->Send(host_, reply_to,
-                   sim::Message::Make<QueryHitBody>(
-                       kMsgQueryHit, "gnutella.hit", HitWireBytes(hit),
-                       std::move(hit)));
+    network_->Send(host_, reply_to, std::move(msg));
   }
 }
 
-void GnutellaNode::DeliverOrForwardHit(Guid guid,
-                                       std::vector<QueryResult> results) {
+void GnutellaNode::RouteHit(const sim::Message& msg) {
+  const QueryHitBody& hit = msg.as<QueryHitBody>();
   // Count toward an active dynamic query rooted here.
-  auto dq = dq_states_.find(guid);
-  if (dq != dq_states_.end()) dq->second.results += results.size();
+  auto dq = dq_states_.find(hit.guid);
+  if (dq != dq_states_.end()) dq->second.results += hit.results.size();
 
-  auto local = local_queries_.find(guid);
+  auto local = local_queries_.find(hit.guid);
   if (local != local_queries_.end()) {
     // Deduplicate replicas of the same result record (a leaf's file can be
     // indexed by several of its ultrapeers) and drop our own files, which
     // can echo back through a secondary parent ultrapeer.
     std::vector<QueryResult> fresh;
-    for (auto& r : results) {
+    for (const auto& r : hit.results) {
       if (r.owner == host_) continue;
       if (local->second.seen_file_ids.insert(r.file_id).second) {
-        fresh.push_back(std::move(r));
+        fresh.push_back(r);
       }
     }
     if (hit_observer_) {
-      hit_observer_(guid, fresh, local->second.seen_file_ids.size());
+      hit_observer_(hit.guid, fresh, local->second.seen_file_ids.size());
     }
     if (!fresh.empty()) {
       metrics_->results_delivered += fresh.size();
@@ -277,31 +269,27 @@ void GnutellaNode::DeliverOrForwardHit(Guid guid,
     return;
   }
 
-  auto route = guid_routes_.find(guid);
-  if (route == guid_routes_.end() || route->second == sim::kInvalidHost) {
+  const sim::HostId* route = guid_routes_.Find(hit.guid);
+  if (route == nullptr || *route == sim::kInvalidHost) {
     return;  // route evicted or unknown: drop the hit
   }
-  QueryHitBody hit{guid, std::move(results)};
-  if (hit_observer_) {
-    hit_observer_(guid, hit.results, 0);
-  }
+  if (hit_observer_) hit_observer_(hit.guid, hit.results, 0);
   ++metrics_->query_hit_messages;
-  network_->Send(host_, route->second,
-                 sim::Message::Make<QueryHitBody>(kMsgQueryHit, "gnutella.hit",
-                                                  HitWireBytes(hit),
-                                                  std::move(hit)));
+  network_->Send(host_, *route, msg);  // same body, one hop further back
 }
 
-void GnutellaNode::RememberGuid(Guid guid, sim::HostId from) {
-  seen_guids_.insert(guid);
-  guid_routes_[guid] = from;
-  guid_fifo_.push_back(guid);
-  while (guid_fifo_.size() > config_->guid_route_capacity) {
-    Guid old = guid_fifo_.front();
-    guid_fifo_.pop_front();
-    seen_guids_.erase(old);
-    guid_routes_.erase(old);
+bool GnutellaNode::RememberGuid(Guid guid, sim::HostId from) {
+  if (!guid_routes_.TryEmplace(guid, from).second) return false;
+  // FIFO eviction: the ring holds the live keys in arrival order, so the
+  // slot at its head is the oldest GUID once the ring is full.
+  if (guid_fifo_.size() < std::max<size_t>(1, config_->guid_route_capacity)) {
+    guid_fifo_.push_back(guid);
+    return true;
   }
+  guid_routes_.Erase(guid_fifo_[guid_fifo_head_]);
+  guid_fifo_[guid_fifo_head_] = guid;
+  guid_fifo_head_ = (guid_fifo_head_ + 1) % guid_fifo_.size();
+  return true;
 }
 
 void GnutellaNode::BrowseHost(sim::HostId target, BrowseCallback callback) {
@@ -334,40 +322,28 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
   switch (msg.type) {
     case kMsgQuery: {
       const auto& q = msg.as<QueryBody>();
-      if (SeenGuid(q.guid)) {
+      if (!RememberGuid(q.guid, from)) {
         ++metrics_->duplicate_queries;
         return;
       }
-      RememberGuid(q.guid, from);
-      if (query_observer_) query_observer_(q.guid, q.text, from);
-      MatchLocally(q.guid, q.text, from);
+      if (query_observer_) query_observer_(q.guid, q.query->text, from);
+      MatchLocally(q.guid, q.query, from);
       if (q.ttl > 1) {
-        QueryBody fwd{q.guid, static_cast<uint8_t>(q.ttl - 1),
-                      static_cast<uint8_t>(q.hops + 1), q.text};
-        FloodQuery(fwd, from);
+        FloodQuery(q.guid, static_cast<uint8_t>(q.ttl - 1),
+                   static_cast<uint8_t>(q.hops + 1), q.query, from);
       } else {
         ++metrics_->ttl_expired;
       }
       return;
     }
-    case kMsgQueryHit: {
-      const auto& h = msg.as<QueryHitBody>();
-      DeliverOrForwardHit(h.guid, h.results);
+    case kMsgQueryHit:
+      RouteHit(msg);
       return;
-    }
     case kMsgLeafQuery: {
-      // A leaf asks us to run a query on its behalf.
+      // A leaf asks us to run a query on its behalf; hits route back to it.
       const auto& q = msg.as<LeafQueryBody>();
-      if (SeenGuid(q.guid)) return;
-      RememberGuid(q.guid, from);  // hits route back to the leaf
-      if (query_observer_) query_observer_(q.guid, q.text, from);
-      MatchLocally(q.guid, q.text, sim::kInvalidHost);
-      if (config_->query_mode == QueryMode::kFlood) {
-        QueryBody body{q.guid, config_->flood_ttl, 0, q.text};
-        FloodQuery(body, sim::kInvalidHost);
-      } else {
-        BeginDynamicQuery(q.guid, q.text);
-      }
+      if (!RememberGuid(q.guid, from)) return;
+      ExecuteQueryAsRoot(q.guid, q.query, from);
       return;
     }
     case kMsgLeafPublish: {
@@ -394,7 +370,7 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
       // Our ultrapeer forwarded a query our Bloom filter matched: answer
       // from the local library; an empty match is a Bloom false positive.
       const auto& fwd = msg.as<LeafForwardBody>();
-      auto matches = index_.MatchText(fwd.text);
+      auto matches = index_.Match(fwd.query->keywords);
       if (matches.empty()) {
         ++metrics_->qrp_false_positives;
         return;
@@ -409,7 +385,7 @@ void GnutellaNode::HandleMessage(sim::HostId from, const sim::Message& msg) {
       ++metrics_->query_hit_messages;
       network_->Send(host_, from,
                      sim::Message::Make<QueryHitBody>(
-                         kMsgQueryHit, "gnutella.hit", HitWireBytes(hit),
+                         kMsgQueryHit, "gnutella.hit", kHitWireBytes,
                          std::move(hit)));
       return;
     }

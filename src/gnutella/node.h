@@ -11,7 +11,6 @@
 //    returns the neighbor list (Section 4.1's topology crawl).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "common/bloom.h"
+#include "common/flat_table.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "gnutella/index.h"
@@ -115,19 +115,9 @@ class GnutellaNode : public sim::Host {
   void HandleMessage(sim::HostId from, const sim::Message& msg) override;
 
  private:
-  struct QueryBody {
-    Guid guid;
-    uint8_t ttl;
-    uint8_t hops;
-    std::string text;
-  };
-  struct QueryHitBody {
-    Guid guid;
-    std::vector<QueryResult> results;
-  };
   struct LeafQueryBody {
     Guid guid;
-    std::string text;
+    QueryRef query;
   };
   struct LeafPublishBody {
     std::vector<SharedFile> files;
@@ -138,7 +128,7 @@ class GnutellaNode : public sim::Host {
   };
   struct LeafForwardBody {
     Guid guid;
-    std::string text;
+    QueryRef query;
   };
   struct BrowseReqBody {
     uint64_t req_id;
@@ -155,27 +145,38 @@ class GnutellaNode : public sim::Host {
 
   /// Dynamic-query controller state (lives at the query-root ultrapeer).
   struct DqState {
-    std::string text;
+    QueryRef query;
     size_t results = 0;
     std::vector<sim::HostId> pending_neighbors;  // not yet queried
     sim::EventId tick = sim::kInvalidEventId;
   };
 
-  static size_t QueryWireBytes(const QueryBody& q) {
+  static size_t QueryWireBytes(const ParsedQuery& q) {
     return 23 + 2 + q.text.size();  // Gnutella header + min speed + text
   }
-  static size_t HitWireBytes(const QueryHitBody& h);
+  /// A hit is charged its Gnutella header and hit preamble (ip, port,
+  /// speed, count) only, not its ~18 + filename bytes per result. Every
+  /// recorded traffic figure rests on this charge; counting the results
+  /// moves them and is a change of its own.
+  static constexpr size_t kHitWireBytes = 23 + 11;
 
-  void ExecuteQueryAsRoot(Guid guid, const std::string& text);
-  void BeginDynamicQuery(Guid guid, const std::string& text);
-  void FloodQuery(const QueryBody& q, sim::HostId exclude);
-  void SendQueryTo(sim::HostId neighbor, Guid guid, const std::string& text,
+  /// Runs a query rooted here: our own (`asker` = kInvalidHost) or one a
+  /// leaf handed us. The caller has recorded the GUID.
+  void ExecuteQueryAsRoot(Guid guid, const QueryRef& query,
+                          sim::HostId asker);
+  void BeginDynamicQuery(Guid guid, const QueryRef& query);
+  void FloodQuery(Guid guid, uint8_t ttl, uint8_t hops, const QueryRef& query,
+                  sim::HostId exclude);
+  void SendQueryTo(sim::HostId neighbor, Guid guid, const QueryRef& query,
                    uint8_t ttl);
-  void MatchLocally(Guid guid, const std::string& text, sim::HostId reply_to);
-  void DeliverOrForwardHit(Guid guid, std::vector<QueryResult> results);
+  void MatchLocally(Guid guid, const QueryRef& query, sim::HostId reply_to);
+  /// Delivers a kMsgQueryHit message to a local query, or forwards the
+  /// same message one hop back along the query's reverse path.
+  void RouteHit(const sim::Message& hit);
   void DynamicTick(Guid guid);
-  void RememberGuid(Guid guid, sim::HostId from);
-  bool SeenGuid(Guid guid) const { return seen_guids_.count(guid) > 0; }
+  /// Records `guid`'s reverse-path hop. False when the GUID is already
+  /// known (a duplicate); evicts the oldest GUID past the capacity.
+  bool RememberGuid(Guid guid, sim::HostId from);
 
   sim::Network* network_;
   Role role_;
@@ -193,9 +194,12 @@ class GnutellaNode : public sim::Host {
   // QRP mode: per-leaf keyword Bloom filters instead of full file lists.
   std::unordered_map<sim::HostId, BloomFilter> leaf_blooms_;
 
-  std::unordered_set<Guid> seen_guids_;
-  std::unordered_map<Guid, sim::HostId> guid_routes_;
-  std::deque<Guid> guid_fifo_;  // eviction order for the two maps above
+  /// Every remembered GUID -> the neighbor its query came from (the hit
+  /// route; kInvalidHost for queries rooted here). Doubles as the
+  /// duplicate-suppression set.
+  FlatHashTable<sim::HostId> guid_routes_;
+  std::vector<Guid> guid_fifo_;  ///< Ring of guid_routes_ keys, oldest at head.
+  size_t guid_fifo_head_ = 0;
 
   std::unordered_map<Guid, LocalQuery> local_queries_;
   std::unordered_map<Guid, DqState> dq_states_;

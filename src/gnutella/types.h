@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,16 @@ struct QueryResult {
   uint64_t size_bytes = 0;
   sim::HostId owner = sim::kInvalidHost;  ///< Node sharing the file.
 };
+
+/// A query as it travels: the text its wire bytes are charged on, and its
+/// index keywords, tokenized once where the query enters the network
+/// (gnutella/index.h ParseQuery) and shared by every message that carries
+/// it.
+struct ParsedQuery {
+  std::string text;
+  std::vector<std::string> keywords;
+};
+using QueryRef = std::shared_ptr<const ParsedQuery>;
 
 /// Node role. Per the paper: leaves publish their file lists to ultrapeers
 /// and issue queries through them; ultrapeers answer and flood on their
@@ -83,7 +94,9 @@ struct GnutellaConfig {
   QueryMode query_mode = QueryMode::kFlood;
   uint8_t flood_ttl = 2;                 ///< TTL in kFlood mode.
   DynamicQueryConfig dynamic;
-  size_t guid_route_capacity = 1 << 16;  ///< Reverse-path table size cap.
+  /// Reverse-path (GUID) table size cap; the oldest GUID is evicted past
+  /// it. At least one GUID is always kept.
+  size_t guid_route_capacity = 1 << 16;
   LeafPublishMode leaf_publish = LeafPublishMode::kFullList;
   double qrp_fp_rate = 0.02;             ///< Bloom sizing in kBloomFilter.
 };
@@ -131,6 +144,20 @@ struct CrawlInfo {
   Role role = Role::kLeaf;
   std::vector<sim::HostId> ultrapeer_neighbors;
   size_t leaf_count = 0;
+};
+
+/// Flooded query (kMsgQuery) and reverse-path hit (kMsgQueryHit) wire
+/// bodies. A message body is immutable once sent: a flood fans one body
+/// out to every neighbor, and a hit is forwarded by re-sending it.
+struct QueryBody {
+  Guid guid = 0;
+  uint8_t ttl = 0;
+  uint8_t hops = 0;
+  QueryRef query;
+};
+struct QueryHitBody {
+  Guid guid = 0;
+  std::vector<QueryResult> results;
 };
 
 /// Crawl request/response wire bodies.

@@ -2,26 +2,41 @@
 
 #include <cassert>
 #include <cstdlib>
+#include <stdexcept>
 
 #include "sim/shard.h"
 
 namespace pierstack::sim {
 namespace detail {
 
-void CanonicalQueue::Push(CanonicalEvent ev) {
+EventId CanonicalQueue::Push(CanonicalEvent ev) {
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    if (generation_.size() > kSlotMask) {
+      throw std::length_error("CanonicalQueue: too many pending events");
+    }
+    slot = static_cast<uint32_t>(generation_.size());
+    generation_.push_back(1);
+  }
+  ev.id = (EventId{generation_[slot]} << kSlotBits) | slot;
+  EventId handle = ev.id;
   heap_.push(std::move(ev));
   ++live_;
+  return handle;
+}
+
+void CanonicalQueue::Retire(EventId handle) {
+  uint32_t slot = static_cast<uint32_t>(handle & kSlotMask);
+  uint32_t& gen = generation_[slot];
+  if (++gen == 0) gen = 1;  // 0 is never a live generation
+  free_slots_.push_back(slot);
 }
 
 void CanonicalQueue::SkipCancelled() {
-  while (!heap_.empty()) {
-    EventId id = heap_.top().id;
-    if (id == kInvalidEventId) return;
-    auto it = cancelled_.find(id);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    heap_.pop();
-  }
+  while (!heap_.empty() && !Live(heap_.top().id)) heap_.pop();
 }
 
 bool CanonicalQueue::PopUpTo(SimTime bound, CanonicalEvent* out) {
@@ -42,6 +57,7 @@ CanonicalEvent CanonicalQueue::PopTop() {
   // reads the trivially-copied key fields, which a move leaves intact.
   CanonicalEvent ev = std::move(const_cast<CanonicalEvent&>(heap_.top()));
   heap_.pop();
+  Retire(ev.id);
   --live_;
   return ev;
 }
@@ -53,12 +69,13 @@ bool CanonicalQueue::PeekTime(SimTime* t) {
   return true;
 }
 
-bool CanonicalQueue::Cancel(EventId id) {
-  if (id == kInvalidEventId) return false;
-  // Lazy deletion, like Simulator: remember the id, skip it when popped.
-  // An id is only handed out once per queue, so a successful insert means
-  // the event is still in the heap.
-  if (!cancelled_.insert(id).second) return false;
+bool CanonicalQueue::Cancel(EventId handle) {
+  if ((handle & kSlotMask) >= generation_.size() || !Live(handle)) {
+    return false;
+  }
+  // Lazy deletion: the heap entry no longer matches its slot's generation
+  // and is skipped when it surfaces.
+  Retire(handle);
   --live_;
   return true;
 }
@@ -68,16 +85,20 @@ bool CanonicalQueue::Cancel(EventId id) {
 EventId SerialExecutor::ScheduleAt(HostId owner, SimTime t,
                                    std::function<void()> fn) {
   assert(t >= now_);
-  EventId id = next_id_++;
   detail::CanonicalEvent ev;
   ev.time = t;
   ev.origin = current_origin_;
-  ev.origin_seq = origin_seq_[current_origin_]++;
+  if (current_origin_ == kDriverHost) {
+    ev.origin_seq = driver_seq_++;
+  } else {
+    if (current_origin_ >= origin_seq_.size()) {
+      origin_seq_.resize(current_origin_ + 1, 0);
+    }
+    ev.origin_seq = origin_seq_[current_origin_]++;
+  }
   ev.owner = owner;
-  ev.id = id;
   ev.fn = std::move(fn);
-  queue_.Push(std::move(ev));
-  return id;
+  return queue_.Push(std::move(ev));
 }
 
 bool SerialExecutor::Cancel(EventId id) { return queue_.Cancel(id); }

@@ -29,8 +29,6 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace pierstack::sim {
@@ -117,7 +115,7 @@ struct CanonicalEvent {
   HostId origin = kDriverHost;  ///< Host whose handler scheduled it.
   uint64_t origin_seq = 0;      ///< Monotonic per-origin at schedule time.
   HostId owner = kDriverHost;   ///< Host whose state the handler touches.
-  EventId id = kInvalidEventId;  ///< 0 = not cancellable.
+  EventId id = kInvalidEventId;  ///< The queue handle (CanonicalQueue).
   std::function<void()> fn;
 };
 
@@ -132,9 +130,23 @@ struct CanonicalLater {
 
 /// Priority queue over canonical keys with lazy cancellation, shared by
 /// SerialExecutor (one queue) and ShardedExecutor (one per shard).
+///
+/// Every pushed event gets a generation-stamped handle: a slot index plus
+/// the slot's generation at push time. Running or cancelling the event
+/// bumps the generation and frees the slot for reuse, so a handle is live
+/// exactly while its generation matches — a vector lookup, with no
+/// per-event hash-set work. A stale handle (the event ran or was
+/// cancelled) never cancels anything, even after its slot is reused. The
+/// heap entry of a cancelled event stays until it surfaces and is skipped.
 class CanonicalQueue {
  public:
-  void Push(CanonicalEvent ev);
+  /// Bits of a handle below the generation (the slot index). Handles use
+  /// the low kHandleBits bits, so callers may tag the bits above.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr unsigned kHandleBits = kSlotBits + 32;
+
+  /// Queues `ev` (its id is overwritten) and returns its handle, never 0.
+  EventId Push(CanonicalEvent ev);
   /// Pops the minimum live event into `out` if its time <= bound.
   /// Returns false when the queue is empty or the minimum is later.
   bool PopUpTo(SimTime bound, CanonicalEvent* out);
@@ -145,15 +157,26 @@ class CanonicalQueue {
   CanonicalEvent PopTop();
   /// Time of the earliest live event; false when empty.
   bool PeekTime(SimTime* t);
-  bool Cancel(EventId id);
+  /// Cancels the event behind `handle`; false when it already ran, was
+  /// cancelled, or never existed.
+  bool Cancel(EventId handle);
   size_t pending() const { return live_; }
 
  private:
+  bool Live(EventId handle) const {
+    return generation_[handle & kSlotMask] == (handle >> kSlotBits);
+  }
+  /// Ends the handle's lifetime: bumps its slot's generation and frees it.
+  void Retire(EventId handle);
   void SkipCancelled();
+
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+
   std::priority_queue<CanonicalEvent, std::vector<CanonicalEvent>,
                       CanonicalLater>
       heap_;
-  std::unordered_set<EventId> cancelled_;
+  std::vector<uint32_t> generation_;  ///< Per slot; never 0.
+  std::vector<uint32_t> free_slots_;
   size_t live_ = 0;
 };
 
@@ -183,8 +206,8 @@ class SerialExecutor : public Executor {
   SimTime now_ = 0;
   HostId current_origin_ = kDriverHost;  ///< Context assigning child keys.
   detail::CanonicalQueue queue_;
-  std::unordered_map<HostId, uint64_t> origin_seq_;
-  EventId next_id_ = 1;
+  std::vector<uint64_t> origin_seq_;  ///< Index = origin host.
+  uint64_t driver_seq_ = 0;           ///< The kDriverHost origin's seq.
   uint64_t executed_ = 0;
 };
 

@@ -70,14 +70,20 @@ SimTime DecayedLatency(SimTime latency, SimTime elapsed, SimTime half_life) {
 void NetworkMetrics::Record(const char* tag, size_t bytes) {
   total.messages += 1;
   total.bytes += bytes;
-  auto& c = by_tag[tag];
-  c.messages += 1;
-  c.bytes += bytes;
+  for (auto& [key, c] : tag_counts_) {
+    if (key == tag) {
+      c.messages += 1;
+      c.bytes += bytes;
+      return;
+    }
+  }
+  tag_counts_.emplace_back(tag, TrafficCounter{1, bytes});
 }
 
 void NetworkMetrics::Reset() {
   total = TrafficCounter{};
   by_tag.clear();
+  tag_counts_.clear();
   dropped_messages = 0;
   refused_sends = 0;
 }
@@ -85,11 +91,13 @@ void NetworkMetrics::Reset() {
 void NetworkMetrics::Absorb(NetworkMetrics* other) {
   total.messages += other->total.messages;
   total.bytes += other->total.bytes;
-  for (const auto& [tag, c] : other->by_tag) {
+  auto add = [this](const std::string& tag, const TrafficCounter& c) {
     auto& mine = by_tag[tag];
     mine.messages += c.messages;
     mine.bytes += c.bytes;
-  }
+  };
+  for (const auto& [tag, c] : other->by_tag) add(tag, c);
+  for (const auto& [tag, c] : other->tag_counts_) add(tag, c);
   dropped_messages += other->dropped_messages;
   refused_sends += other->refused_sends;
   other->Reset();

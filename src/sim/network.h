@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -166,6 +167,9 @@ SimTime DecayedLatency(SimTime latency, SimTime elapsed, SimTime half_life);
 /// Aggregated network metrics, by category tag and in total.
 struct NetworkMetrics {
   TrafficCounter total;
+  /// Per-tag traffic by tag name. Record counts into pointer-keyed
+  /// counters; they fold in here, by name, when metrics are absorbed
+  /// (Network::metrics() folds every slab).
   std::map<std::string, TrafficCounter> by_tag;
   /// Every message that failed to reach its receiver: refused sends,
   /// in-flight losses (host died mid-flight) and injected faults.
@@ -175,10 +179,20 @@ struct NetworkMetrics {
   /// sender-visible failure signal).
   uint64_t refused_sends = 0;
 
+  /// Counts one message of `bytes` under `tag`. The tag must be a string
+  /// with static storage duration (a literal, as Message::tag is): it is
+  /// kept by pointer until the next fold, so the hot path never hashes or
+  /// copies it. Distinct pointers to equal text fold into one by_tag entry.
   void Record(const char* tag, size_t bytes);
   void Reset();
-  /// Adds `other` into this and zeroes it (the slab fold).
+  /// Adds `other` into this, folding its pointer-keyed counts into by_tag,
+  /// and zeroes it (the slab fold).
   void Absorb(NetworkMetrics* other);
+
+ private:
+  /// Pointer-keyed counts since the last fold; a handful of tags, so a
+  /// linear scan beats hashing.
+  std::vector<std::pair<const char*, TrafficCounter>> tag_counts_;
 };
 
 /// The simulated network: host registry + latency + delivery + metrics.

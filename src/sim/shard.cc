@@ -16,8 +16,11 @@ constexpr uint32_t kDriverSlot = 0xFE;
 constexpr uint32_t kSlotBits = 8;
 constexpr uint32_t kSlotMask = 0xFF;
 
-EventId MakeId(uint32_t slot, uint64_t counter) {
-  return (counter << kSlotBits) | slot;
+// An executor-wide id: the queue's handle tagged with the queue's slot.
+static_assert(detail::CanonicalQueue::kHandleBits + kSlotBits <= 64,
+              "queue handles must leave room for the slot tag");
+EventId MakeId(uint32_t slot, EventId handle) {
+  return (handle << kSlotBits) | slot;
 }
 
 }  // namespace
@@ -63,7 +66,7 @@ uint32_t ShardedExecutor::CurrentSlab() const {
 
 uint64_t ShardedExecutor::NextSeqFor(HostId origin) {
   if (origin == kDriverHost) return driver_seq_++;
-  return shards_[ShardOf(origin)]->origin_seq[origin]++;
+  return shards_[ShardOf(origin)]->NextSeq(origin / nshards_);
 }
 
 EventId ShardedExecutor::ScheduleAt(HostId owner, SimTime t,
@@ -76,8 +79,9 @@ EventId ShardedExecutor::ScheduleAt(HostId owner, SimTime t,
     // Worker context: keys come from the executing host on this shard.
     Shard* s = shards_[tls_shard_idx].get();
     assert(t >= s->clock);
+    assert(s->current_origin != kDriverHost);
     ev.origin = s->current_origin;
-    ev.origin_seq = s->origin_seq[ev.origin]++;
+    ev.origin_seq = s->NextSeq(ev.origin / nshards_);
     if (owner == kDriverHost) {
       std::lock_guard<std::mutex> lock(driver_inbox_.mu);
       driver_inbox_.events.push_back(std::move(ev));
@@ -85,10 +89,7 @@ EventId ShardedExecutor::ScheduleAt(HostId owner, SimTime t,
     }
     uint32_t dst = ShardOf(owner);
     if (dst == s->index) {
-      EventId id = MakeId(s->index, s->next_local_id++);
-      ev.id = id;
-      s->queue.Push(std::move(ev));
-      return id;
+      return MakeId(s->index, s->queue.Push(std::move(ev)));
     }
     // Cross-shard handoff: parked in the mailbox until the barrier. Not
     // cancellable — only fire-and-forget message deliveries take this
@@ -104,30 +105,25 @@ EventId ShardedExecutor::ScheduleAt(HostId owner, SimTime t,
   ev.origin = in_driver_phase_ ? coord_origin_ : kDriverHost;
   ev.origin_seq = NextSeqFor(ev.origin);
   if (owner == kDriverHost) {
-    EventId id = MakeId(kDriverSlot, driver_next_id_++);
-    ev.id = id;
-    driver_queue_.Push(std::move(ev));
-    return id;
+    return MakeId(kDriverSlot, driver_queue_.Push(std::move(ev)));
   }
   Shard* s = shards_[ShardOf(owner)].get();
-  EventId id = MakeId(s->index, s->next_local_id++);
-  ev.id = id;
-  s->queue.Push(std::move(ev));
-  return id;
+  return MakeId(s->index, s->queue.Push(std::move(ev)));
 }
 
 bool ShardedExecutor::Cancel(EventId id) {
   if (id == kInvalidEventId) return false;
   uint32_t slot = static_cast<uint32_t>(id & kSlotMask);
+  EventId handle = id >> kSlotBits;
   if (slot == kDriverSlot) {
     assert(tls_exec != this);  // driver events cancel from driver context
-    return driver_queue_.Cancel(id);
+    return driver_queue_.Cancel(handle);
   }
-  assert(slot < nshards_);
+  if (slot >= nshards_) return false;
   // Only the owning shard's thread, or exclusive driver context, may
   // touch that shard's queue.
   assert(tls_exec != this || tls_shard_idx == slot);
-  return shards_[slot]->queue.Cancel(id);
+  return shards_[slot]->queue.Cancel(handle);
 }
 
 void ShardedExecutor::WorkerLoop(Shard* shard) {

@@ -81,12 +81,19 @@ class ShardedExecutor : public Executor {
     detail::CanonicalQueue queue;
     SimTime clock = 0;  ///< Time of the last executed event on this shard.
     HostId current_origin = kDriverHost;
-    std::unordered_map<HostId, uint64_t> origin_seq;
-    uint64_t next_local_id = 1;
+    /// Index = host / shard count: this shard's hosts, densely.
+    std::vector<uint64_t> origin_seq;
     uint64_t executed = 0;
     /// outbox[d]: events this shard scheduled for shard d (d != index).
     std::vector<std::unique_ptr<Mailbox>> outbox;
     std::thread thread;
+
+    uint64_t NextSeq(size_t local_host) {
+      if (local_host >= origin_seq.size()) {
+        origin_seq.resize(local_host + 1, 0);
+      }
+      return origin_seq[local_host]++;
+    }
   };
 
   void WorkerLoop(Shard* shard);
@@ -108,7 +115,6 @@ class ShardedExecutor : public Executor {
   // under driver_inbox_.mu (worker-scheduled driver events).
   detail::CanonicalQueue driver_queue_;
   Mailbox driver_inbox_;
-  uint64_t driver_next_id_ = 1;
   uint64_t driver_seq_ = 0;
   uint64_t driver_executed_ = 0;
   SimTime horizon_ = 0;       ///< Global clock between epochs.

@@ -1,9 +1,13 @@
 // Flooding, duplicate suppression, reverse-path hits, leaf publishing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "gnutella/topology.h"
 
 namespace pierstack::gnutella {
@@ -131,6 +135,81 @@ TEST(FloodingTest, DuplicateQueriesSuppressed) {
   // And no query loops forever: message count is bounded well below
   // edges * TTL explosion.
   EXPECT_LT(net.gnutella->metrics().query_messages, 1000u);
+}
+
+/// A bare host that hands hand-built Gnutella messages to one ultrapeer
+/// and records the GUIDs of the hits routed back to it.
+class Probe : public sim::Host {
+ public:
+  void HandleMessage(sim::HostId, const sim::Message& msg) override {
+    if (msg.type == kMsgQueryHit) hits.push_back(msg.as<QueryHitBody>().guid);
+  }
+  std::vector<Guid> hits;
+};
+
+TEST(FloodingTest, GuidTableEvictsOldestPastCapacity) {
+  constexpr size_t kCapacity = 4;
+  constexpr size_t kGuids = 300;
+  sim::Simulator simulator;
+  sim::Network network(
+      &simulator,
+      std::make_unique<sim::ConstantLatency>(10 * sim::kMillisecond), 5);
+  GnutellaConfig config;
+  config.guid_route_capacity = kCapacity;
+  GnutellaMetrics metrics;
+  GnutellaNode up(&network, Role::kUltrapeer, &config, &metrics, 1);
+  Probe probe;
+  sim::HostId from = network.AddHost(&probe);
+  std::vector<Guid> processed;
+  up.SetQueryObserver([&](Guid g, const std::string&, sim::HostId) {
+    processed.push_back(g);
+  });
+  QueryRef query = ParseQuery("nothing indexed here");
+  auto send_query = [&](Guid g) {
+    network.Send(from, up.host(),
+                 sim::Message::Make<QueryBody>(kMsgQuery, "gnutella.query", 40,
+                                               QueryBody{g, 1, 0, query}));
+    simulator.Run();
+  };
+  auto send_hit = [&](Guid g) {
+    QueryHitBody hit{g, {QueryResult{7, "a file.mp3", 100, from}}};
+    network.Send(from, up.host(),
+                 sim::Message::Make<QueryHitBody>(kMsgQueryHit, "gnutella.hit",
+                                                  34, std::move(hit)));
+    simulator.Run();
+  };
+
+  // Push many times the capacity through the table. Random GUIDs, like
+  // real ones, collide in the table, so evictions erase from the middle of
+  // probe runs. After every new GUID the kCapacity most recent ones are
+  // still suppressed: those erasures must never lose a live key.
+  Rng rng(99);
+  std::vector<Guid> guids;
+  for (size_t i = 0; i < kGuids; ++i) {
+    guids.push_back(rng.Next());
+    send_query(guids.back());
+    ASSERT_EQ(processed.back(), guids.back());
+    uint64_t dups = metrics.duplicate_queries;
+    size_t recent = std::min(guids.size(), kCapacity);
+    for (size_t r = guids.size() - recent; r < guids.size(); ++r) {
+      send_query(guids[r]);
+    }
+    ASSERT_EQ(metrics.duplicate_queries, dups + recent) << "guid " << i;
+  }
+  ASSERT_EQ(processed, guids);
+
+  // A hit for a remembered GUID rides the reverse path back to the probe;
+  // one for an evicted GUID is dropped.
+  send_hit(guids.back());
+  send_hit(guids.front());
+  EXPECT_EQ(probe.hits, std::vector<Guid>{guids.back()});
+
+  // A query re-sent under an evicted GUID is processed again.
+  uint64_t dups = metrics.duplicate_queries;
+  send_query(guids.front());
+  EXPECT_EQ(processed.size(), kGuids + 1);
+  EXPECT_EQ(processed.back(), guids.front());
+  EXPECT_EQ(metrics.duplicate_queries, dups);
 }
 
 TEST(FloodingTest, TtlBoundsPropagation) {

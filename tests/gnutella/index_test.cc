@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "common/tokenizer.h"
 
 namespace pierstack::gnutella {
@@ -97,6 +103,82 @@ TEST(KeywordIndexTest, MatchAgreesWithSubstringRuleOnTokenQueries) {
     }
     EXPECT_EQ(matched.size(), expected);
   }
+
+  // Then against a brute-force keyword match over a library large enough
+  // to grow the term table several times, with tombstoned owners: a file
+  // matches iff its owner is live and every query keyword is among its
+  // keywords.
+  struct Doc {
+    std::string name;
+    sim::HostId owner;
+    std::vector<std::string> keywords = ExtractKeywords(name);
+  };
+  std::vector<Doc> docs;
+  for (size_t i = 0; i < names.size(); ++i) {
+    docs.push_back({names[i], static_cast<sim::HostId>(i)});
+  }
+  constexpr sim::HostId kGone = 90;  // every "ghost" file is its
+  for (const char* n : {"ghost town.mp3", "silver ghost.mp3"}) {
+    docs.push_back({n, kGone});
+    idx.Add(File(n), kGone);
+  }
+  Rng rng(7);
+  constexpr size_t kVocab = 700;
+  auto word = [](uint64_t w) { return "w" + std::to_string(w); };
+  for (size_t i = 0; i < 4000; ++i) {
+    std::string name;
+    for (uint64_t n = 1 + rng.NextBelow(4); n > 0; --n) {
+      name += word(rng.NextBelow(kVocab)) + " ";
+    }
+    name += "song.mp3";
+    docs.push_back({name, static_cast<sim::HostId>(100 + i % 50)});
+    idx.Add(File(name), docs.back().owner);
+  }
+  idx.RemoveOwner(kGone);
+  idx.RemoveOwner(117);
+  auto live = [&](const Doc& d) { return d.owner != kGone && d.owner != 117; };
+
+  queries = {
+      {"silver", "silver"},            // a repeated term
+      {"hammer", "hammer", "club"},
+      {"ghost"},                       // every posting is tombstoned
+      {"ghost", "town"},
+      {"silver", "ghost"},
+      {"silver", "absent", "hammer"},  // one absent term in the middle
+      {"absent"},
+      {"the", "mp3"},                  // stop words only: no keywords
+  };
+  for (size_t i = 0; i < 400; ++i) {
+    std::vector<std::string> q;
+    for (uint64_t n = 1 + rng.NextBelow(3); n > 0; --n) {
+      // Some terms fall outside the vocabulary, so are absent.
+      q.push_back(word(rng.NextBelow(kVocab + 20)));
+    }
+    queries.push_back(q);
+  }
+  for (const auto& q : queries) {
+    std::vector<std::string> keywords;
+    for (const auto& t : q) {
+      auto k = ExtractKeywords(t);
+      keywords.insert(keywords.end(), k.begin(), k.end());
+    }
+    std::vector<std::pair<std::string, sim::HostId>> want;
+    for (const Doc& d : docs) {
+      if (keywords.empty() || !live(d)) continue;
+      const auto& have = d.keywords;
+      bool all = true;
+      for (const auto& k : keywords) {
+        all = all && std::find(have.begin(), have.end(), k) != have.end();
+      }
+      if (all) want.emplace_back(d.name, d.owner);
+    }
+    std::vector<std::pair<std::string, sim::HostId>> got;
+    for (const auto* e : idx.Match(keywords)) {
+      got.emplace_back(e->filename, e->owner);
+    }
+    EXPECT_EQ(got, want) << "query " << ::testing::PrintToString(q);
+  }
+  EXPECT_EQ(idx.PostingListSize("ghost"), 2u);  // tombstones stay listed
 }
 
 TEST(KeywordIndexTest, AllEntriesListsLiveOnly) {

@@ -236,6 +236,34 @@ TEST(ShardedExecutorTest, ReportsShardCountAndDriverSlab) {
   for (HostId h = 0; h < 6; ++h) EXPECT_LT(ex.ShardOf(h), 3u);
 }
 
+TEST(ExecutorCancelTest, CancelAfterRunIsFalseOnBothBackends) {
+  SerialExecutor serial;
+  ShardedExecutor sharded({2, kMillisecond});
+  for (Executor* ex : {static_cast<Executor*>(&serial),
+                       static_cast<Executor*>(&sharded)}) {
+    int ran = 0;
+    EventId host_timer = ex->ScheduleAt(1, kMillisecond, [&ran] { ++ran; });
+    EventId driver_timer =
+        ex->ScheduleAt(kDriverHost, kMillisecond, [&ran] { ++ran; });
+    ex->Run();
+    EXPECT_EQ(ran, 2);
+    EXPECT_FALSE(ex->Cancel(host_timer));
+    EXPECT_FALSE(ex->Cancel(driver_timer));
+    EXPECT_EQ(ex->pending(), 0u);
+
+    // The next event reuses the finished timer's queue slot; the stale id
+    // must not cancel it.
+    EventId fresh = ex->ScheduleAt(1, 2 * kMillisecond, [&ran] { ++ran; });
+    EXPECT_NE(fresh, host_timer);
+    EXPECT_FALSE(ex->Cancel(host_timer));
+    EXPECT_EQ(ex->pending(), 1u);
+    ex->Run();
+    EXPECT_EQ(ran, 3);
+    EXPECT_FALSE(ex->Cancel(fresh));
+    EXPECT_EQ(ex->pending(), 0u);
+  }
+}
+
 TEST(MakeEnvExecutorTest, SelectsBackendFromEnv) {
   const char* saved = std::getenv("PIERSTACK_SHARDS");
   std::string saved_value = saved ? saved : "";

@@ -67,6 +67,38 @@ TEST_F(NetworkTest, MetricsCountMessagesAndBytes) {
   EXPECT_EQ(net.metrics().by_tag.at("reply").bytes, 25u);
 }
 
+TEST_F(NetworkTest, TagsWithEqualTextFoldIntoOneEntry) {
+  // Two distinct arrays, so two distinct pointers with the same text.
+  static const char kTagA[] = "same.tag";
+  static const char kTagB[] = "same.tag";
+  ASSERT_NE(static_cast<const void*>(kTagA), static_cast<const void*>(kTagB));
+  Network net(&sim, nullptr, 1);
+  Recorder a, b;
+  HostId ha = net.AddHost(&a);
+  HostId hb = net.AddHost(&b);
+  net.Send(ha, hb, Message::Make<Payload>(1, kTagA, 100, Payload{"a"}));
+  net.Send(ha, hb, Message::Make<Payload>(1, kTagB, 50, Payload{"b"}));
+  sim.Run();
+  ASSERT_EQ(net.metrics().by_tag.size(), 1u);
+  EXPECT_EQ(net.metrics().by_tag.at("same.tag").messages, 2u);
+  EXPECT_EQ(net.metrics().by_tag.at("same.tag").bytes, 150u);
+}
+
+TEST(NetworkMetricsTest, ResetClearsPointerKeyedCounters) {
+  NetworkMetrics m;
+  m.Record("stale", 10);
+  m.Reset();
+  NetworkMetrics sink;
+  sink.Absorb(&m);
+  EXPECT_EQ(sink.total.messages, 0u);
+  EXPECT_TRUE(sink.by_tag.empty());
+  // Counting resumes after a reset, under the new tags only.
+  m.Record("fresh", 5);
+  sink.Absorb(&m);
+  EXPECT_EQ(sink.by_tag.count("stale"), 0u);
+  EXPECT_EQ(sink.by_tag.at("fresh").bytes, 5u);
+}
+
 TEST_F(NetworkTest, MetricsReset) {
   Network net(&sim, nullptr, 1);
   Recorder a;
